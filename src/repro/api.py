@@ -65,19 +65,18 @@ def expand(
     (:data:`repro.packages.PACKAGE_NAMES`); ``package_sources`` are
     ``(filename, source)`` pairs of macro-package files loaded after
     them — the paper's separate meta-program files.  Each call is
-    hermetic: nothing leaks between calls.  For repeated expansion
-    against the same preamble, keep a :class:`MacroProcessor` (one
-    context, definitions accumulate) or talk to a warm daemon with
+    hermetic: nothing leaks between calls, yet the packages are parsed
+    once per process (:class:`~repro.engine.PreambleImage`).  For
+    repeated expansion in one context, keep a :class:`MacroProcessor`
+    (definitions accumulate) or talk to a warm daemon with
     :class:`Ms2Client`.
     """
-    from repro.packages import register_named
+    from repro.packages import load_preamble
 
     mp = MacroProcessor(options=options)
-    for name in packages:
-        register_named(mp, name)
-    for package_name, package_source in package_sources:
-        mp.load(package_source, str(package_name))
-    return mp.expand(source, filename)
+    return load_preamble(mp, packages, package_sources).expand(
+        source, filename
+    )
 
 
 def expand_file(

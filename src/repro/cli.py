@@ -40,17 +40,19 @@ from repro.driver.diskcache import DEFAULT_CACHE_DIR
 from repro.engine import MacroProcessor
 from repro.errors import Ms2Error
 from repro.options import Ms2Options
-from repro.packages import PACKAGE_NAMES, register_named
+from repro.packages import PACKAGE_NAMES, load_preamble
 
 #: The single source of defaults for every flag below.
 _DEFAULTS = Ms2Options()
 
 
-def _load_package(mp: MacroProcessor, name: str) -> None:
-    try:
-        register_named(mp, name)
-    except KeyError as exc:
-        raise SystemExit(str(exc.args[0])) from None
+def _load_preamble(
+    mp: MacroProcessor, names: list[str], package_files: list[Path]
+) -> MacroProcessor:
+    """``-p`` packages, then the package files, loaded into ``mp``."""
+    return load_preamble(
+        mp, names, ((str(path), path.read_text()) for path in package_files)
+    )
 
 
 def _add_package_flag(cmd: argparse.ArgumentParser) -> None:
@@ -528,12 +530,10 @@ def _cmd_expand_local(args: argparse.Namespace) -> int:
     degradation target, which is why it is byte-identical to the
     server path by construction — same options, same preamble)."""
     options = options_from_args(args)
-    mp = MacroProcessor(options=options)
-    for name in args.package:
-        _load_package(mp, name)
-    *packages_files, program = args.files
-    for path in packages_files:
-        mp.load(path.read_text(), str(path))
+    *package_files, program = args.files
+    mp = _load_preamble(
+        MacroProcessor(options=options), args.package, package_files
+    )
     result = mp.expand(program.read_text(), str(program))
     print(result.output, end="")
     for diagnostic in result.diagnostics:
@@ -835,11 +835,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if len(args.files) == 1 and args.files[0].suffix == ".py":
             source, filename = _trace_example(mp, args.files[0])
         else:
-            for name in args.package:
-                _load_package(mp, name)
             *package_files, program = args.files
-            for path in package_files:
-                mp.load(path.read_text(), str(path))
+            _load_preamble(mp, args.package, package_files)
             source, filename = program.read_text(), str(program)
         mp.expand(source, filename)
     except Ms2Error:
@@ -859,11 +856,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_macros(args: argparse.Namespace) -> int:
     """``repro macros``: list macro keywords with their signatures."""
-    mp = MacroProcessor()
-    for name in args.package:
-        _load_package(mp, name)
-    for path in args.files:
-        mp.load(path.read_text(), str(path))
+    mp = _load_preamble(MacroProcessor(), args.package, args.files)
     for name in mp.table.names():
         defn = mp.table.lookup(name)
         suffix = "[]" if defn.returns_list else ""
@@ -890,12 +883,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: expand and lint (captures + undeclared names)."""
     from repro.analysis import detect_captures, undeclared_identifiers
 
-    mp = MacroProcessor()
-    for name in args.package:
-        _load_package(mp, name)
     *package_files, program = args.files
-    for path in package_files:
-        mp.load(path.read_text(), str(path))
+    mp = _load_preamble(MacroProcessor(), args.package, package_files)
     unit = mp.expand_to_ast(program.read_text(), str(program))
 
     problems = 0

@@ -7,8 +7,9 @@ multi-file workflow — macro packages first, then program files, where
 in separate files, or mixed together" — scaled out:
 
 - every worker process shares the same macro-package preamble (the
-  named standard packages plus any package source files), loaded once
-  per worker by the pool initializer;
+  named standard packages plus any package source files), built once
+  per process and copied into each file's processor
+  (:class:`~repro.engine.PreambleImage`);
 - each translation unit is expanded *independently*, by a fresh
   :class:`~repro.engine.MacroProcessor` over the shared packages, so
   macro definitions inside one program file can never leak into
@@ -119,20 +120,6 @@ def _worker_init(config: _WorkerConfig) -> None:
     _WORKER["config"] = config
 
 
-def _fresh_processor(config: _WorkerConfig) -> MacroProcessor:
-    """A processor with the shared packages loaded — the per-file
-    isolation boundary (definitions in one program file never leak
-    into another)."""
-    from repro.packages import register_named
-
-    mp = MacroProcessor(options=config.options)
-    for name in config.package_names:
-        register_named(mp, name)
-    for filename, source in config.package_sources:
-        mp.load(source, filename)
-    return mp
-
-
 def _build_one(
     task: tuple[str, str], config: _WorkerConfig | None = None
 ) -> dict:
@@ -155,7 +142,14 @@ def _build_one(
             # fault here dies like a real worker crash (os._exit, no
             # exception), anything else surfaces below.
             faults.ACTIVE.hit("driver.worker", context=path)
-        mp = _fresh_processor(config)
+        from repro.packages import load_preamble
+
+        # A fresh processor per file: definitions never leak across.
+        mp = load_preamble(
+            MacroProcessor(options=config.options),
+            config.package_names,
+            config.package_sources,
+        )
         result = mp.expand(source, path)
     except Ms2Error as exc:
         return {

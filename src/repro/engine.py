@@ -28,9 +28,15 @@ output contains no ``syntax`` / ``metadcl`` items.
 
 from __future__ import annotations
 
-from typing import Any
+import copy
+import dataclasses
+import json
+import threading
+from collections import OrderedDict
+from typing import Any, Hashable
 
 from repro.analysis import analyze_macro_purity
+from repro.asttypes.env import TypeEnv
 from repro.cast import decls, nodes
 from repro.cast.base import Node
 from repro.cast.printer import render_c
@@ -44,7 +50,9 @@ from repro.macros.cache import ExpansionCache
 from repro.macros.compiled import compile_pattern
 from repro.macros.definition import MacroDefinition, MacroTable
 from repro.macros.expander import Expander
+from repro.meta.frames import Frame, NullValue
 from repro.meta.interp import Interpreter
+from repro.meta.values import Closure
 from repro.options import ExpandResult, Ms2Options, warn_legacy
 from repro.parser.core import Parser
 from repro.stats import PipelineStats
@@ -135,6 +143,14 @@ class MacroProcessor:
         )
         self.compiled_patterns = options.compiled_patterns
         self._parser: Parser | None = None
+        #: Typedef names and the global meta type environment, shared
+        #: by every file this processor parses (None before the first).
+        self._typedef_scopes: list[set[str]] | None = None
+        self._meta_env: TypeEnv | None = None
+        #: The ``(filename, source)`` files loaded while this processor
+        #: has done nothing but load: its preamble-image key.  None
+        #: once anything else has run (:meth:`load`).
+        self._preamble: tuple[tuple[str, str], ...] | None = ()
         #: The active :class:`~repro.diagnostics.DiagnosticSink`
         #: during a ``recover=True`` run; None in fail-fast mode.
         self.diagnostics: DiagnosticSink | None = None
@@ -266,13 +282,17 @@ class MacroProcessor:
             stats=self.stats, profiler=self.profiler,
             diagnostics=diagnostics,
         )
-        if self._parser is not None:
+        if self._meta_env is None:
+            self._typedef_scopes = parser.typedef_scopes
+            self._meta_env = parser.global_type_env
+        else:
             # Later files see typedefs and meta bindings of earlier ones.
-            parser.typedef_scopes = self._parser.typedef_scopes
-            parser.global_type_env = self._parser.global_type_env
-            parser.type_env = parser.global_type_env
-            parser.inferencer.env = parser.global_type_env
+            parser.typedef_scopes = self._typedef_scopes
+            parser.global_type_env = self._meta_env
+            parser.type_env = self._meta_env
+            parser.inferencer.env = self._meta_env
         self._parser = parser
+        self._preamble = None
         return parser
 
     @staticmethod
@@ -290,9 +310,32 @@ class MacroProcessor:
 
     def load(self, source: str, filename: str = "<package>") -> None:
         """Process a macro-package file: definitions are registered,
-        any plain C in the file is discarded."""
-        parser = self.make_parser(source, filename)
-        self._parse_guarded(parser)
+        any plain C in the file is discarded.
+
+        While this processor has done nothing but load, the chain of
+        files loaded so far and the options key a process-wide
+        preamble image (:class:`PreambleImage`): a chain loaded before
+        is copied from its image instead of being parsed again."""
+        chain = self._preamble
+        if (
+            chain is None
+            or self.tracer is not None
+            or self.profiler is not None
+        ):
+            self._parse_guarded(self.make_parser(source, filename))
+            return
+        chain += ((filename, source),)
+        key = (options_fingerprint(self.options), chain)
+        image = PREAMBLE_IMAGES.get(key)
+        if image is not None:
+            image.instantiate(self)
+        else:
+            self._parse_guarded(self.make_parser(source, filename))
+            image = PreambleImage.capture(self)
+            if image is None:
+                return
+            PREAMBLE_IMAGES.put(key, image)
+        self._preamble = chain
 
     # -- internal, options-driven pipeline stages ----------------------
 
@@ -477,6 +520,190 @@ class MacroProcessor:
     @property
     def expansion_count(self) -> int:
         return self.expander.expansion_count
+
+
+# ======================================================================
+# Preamble images
+# ======================================================================
+
+#: Images kept per process; the least recently used is evicted.
+MAX_IMAGES = 8
+
+#: The integer :class:`PipelineStats` fields a load can advance.
+_COUNTERS = tuple(
+    name
+    for name in PipelineStats.__dataclass_fields__
+    if type(getattr(PipelineStats(), name)) is int
+)
+
+
+def options_fingerprint(options: Ms2Options) -> str:
+    """Every serializable field of ``options`` as canonical JSON: the
+    options part of preamble-image and warm-pool keys.  Not
+    :meth:`~repro.options.Ms2Options.options_hash`, which ignores
+    fields (tracing, ``compiled_bodies``) that change what a processor
+    built from these options does."""
+    return json.dumps(options.to_json(), sort_keys=True)
+
+
+class _Uncapturable(Exception):
+    """A meta value an image cannot copy faithfully."""
+
+
+def _copy_value(value: Any, old: Frame | None, new: Frame | None) -> Any:
+    """``value`` with its mutable parts copied and closures over the
+    globals frame ``old`` re-bound to ``new``.  AST nodes are shared:
+    meta-code cannot mutate them (component accessors return copies)."""
+    if isinstance(value, list):
+        return [_copy_value(item, old, new) for item in value]
+    if isinstance(value, nodes.TupleValue):
+        return dataclasses.replace(value, fields=[
+            dataclasses.replace(f, value=_copy_value(f.value, old, new))
+            for f in value.fields
+        ])
+    if isinstance(value, Closure):
+        if value.frame is not old:
+            raise _Uncapturable(value.name)
+        return dataclasses.replace(value, frame=new)
+    if value is None or isinstance(
+        value, (int, float, str, NullValue, Node)
+    ):
+        return value
+    raise _Uncapturable(type(value).__name__)
+
+
+class PreambleImage:
+    """A processor's state right after its package loads, built once
+    per process and copied into every later processor that loads the
+    same ``(filename, source)`` chain under the same options.
+
+    In the paper a macro is parsed, type-checked and compiled once, at
+    definition time; without images every fresh processor (each
+    :func:`repro.api.expand` call, batch-driver file and daemon
+    worker) would redo that for the same package sources.
+
+    The isolation boundary is unchanged.  Each processor gets its own
+    definition copies and dispatch trie, its own globals frame
+    (closures re-bound to it, list and tuple values copied) and its
+    own meta type environment.  Patterns, bodies, compiled matchers
+    and purity reports are immutable and shared.  Compiled bodies
+    stay lazy and are memoized on the image's prototype definitions.
+    Integer :class:`PipelineStats` counters read exactly as after a
+    cold load; only time fields show the saving.
+    """
+
+    __slots__ = (
+        "definitions", "generation", "globals", "gensym_counter",
+        "steps", "warnings", "typedef_scopes", "meta_types", "counters",
+    )
+
+    @classmethod
+    def capture(cls, mp: MacroProcessor) -> "PreambleImage | None":
+        """The image of ``mp``, which has done nothing but load; None
+        when a load expanded a macro or left a value that cannot be
+        copied (the caller then simply stays cold)."""
+        interp = mp.interpreter
+        if mp.expander.expansion_count:
+            return None
+        try:
+            meta_globals = {
+                name: _copy_value(value, interp.globals, None)
+                for name, value in interp.globals.values.items()
+            }
+        except _Uncapturable:
+            return None
+        image = cls()
+        prototypes = []
+        for name in mp.table.defined_names():
+            original = mp.table.lookup(name)
+            prototype = copy.copy(original)
+            prototype.prototype = None
+            # The cold processor's own compiles fill the image too.
+            original.prototype = prototype
+            prototypes.append(prototype)
+        image.definitions = tuple(prototypes)
+        image.generation = mp.table.generation
+        image.globals = meta_globals
+        image.gensym_counter = interp._gensym_counter
+        image.steps = interp._steps
+        image.warnings = tuple(interp.warnings)
+        image.typedef_scopes = tuple(
+            frozenset(scope) for scope in mp._typedef_scopes
+        )
+        image.meta_types = dict(mp._meta_env.bindings)
+        image.counters = {
+            name: getattr(mp.stats, name) for name in _COUNTERS
+        }
+        return image
+
+    def instantiate(self, mp: MacroProcessor) -> None:
+        """Give ``mp`` its own copy of this image's state."""
+        table = MacroTable()
+        for prototype in self.definitions:
+            table.define(prototype.instance())
+        table.generation = self.generation
+        mp.table = mp.expander.table = table
+        interp = mp.interpreter
+        frame = Frame()
+        for name, value in self.globals.items():
+            frame.values[name] = _copy_value(value, None, frame)
+        interp.globals = frame
+        interp._gensym_counter = self.gensym_counter
+        interp._steps = self.steps
+        interp.warnings = list(self.warnings)
+        mp._typedef_scopes = [set(scope) for scope in self.typedef_scopes]
+        mp._meta_env = TypeEnv()
+        mp._meta_env.bindings.update(self.meta_types)
+        for name, value in self.counters.items():
+            setattr(mp.stats, name, value)
+
+
+class ImageCache:
+    """A thread-safe LRU of :class:`PreambleImage` values."""
+
+    def __init__(self) -> None:
+        self._images: OrderedDict[Hashable, PreambleImage] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable) -> PreambleImage | None:
+        """The image under ``key`` (now most recently used), or None."""
+        with self._lock:
+            image = self._images.get(key)
+            if image is None:
+                self.misses += 1
+                return None
+            self._images.move_to_end(key)
+            self.hits += 1
+            return image
+
+    def put(self, key: Hashable, image: PreambleImage) -> None:
+        """Keep ``image`` under ``key``, evicting beyond capacity."""
+        with self._lock:
+            self._images[key] = image
+            self._images.move_to_end(key)
+            while len(self._images) > MAX_IMAGES:
+                self._images.popitem(last=False)
+
+    def info(self) -> dict[str, int]:
+        """Lookup hits and misses, and images held."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "entries": len(self._images),
+            }
+
+
+#: The process-wide image cache :meth:`MacroProcessor.load` consults.
+PREAMBLE_IMAGES = ImageCache()
+
+
+def preamble_image_info() -> dict[str, int]:
+    """``{"hits", "misses", "entries"}`` of this process's preamble
+    images."""
+    return PREAMBLE_IMAGES.info()
 
 
 def expand_source(

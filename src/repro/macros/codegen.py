@@ -160,18 +160,29 @@ def get_compiled_body(definition: Any, stats: Any = None) -> CompiledBody | None
         return None
     body = definition.compiled_body
     if body is None:
-        start = time.perf_counter()
-        try:
-            body = compile_macro_body(definition)
-        except _Uncompilable:
-            body = False
-        except (Ms2Error, Exception):  # noqa: B014 - never break expansion
-            if _DEBUG:
-                raise
-            body = False
+        # A preamble-image copy takes the body its prototype memoized;
+        # it still counts as compiled here, so stats match a cold load.
+        prototype = getattr(definition, "prototype", None)
+        if prototype is not None:
+            body = prototype.compiled_body
+        if body is None:
+            start = time.perf_counter()
+            try:
+                body = compile_macro_body(definition)
+            except _Uncompilable:
+                body = False
+            except (Ms2Error, Exception):  # noqa: B014 - never break expansion
+                if _DEBUG:
+                    raise
+                body = False
+            if prototype is not None:
+                prototype.compiled_body = body
+            if stats is not None:
+                stats.compile_time_ms += (
+                    time.perf_counter() - start
+                ) * 1000.0
         definition.compiled_body = body
         if stats is not None:
-            stats.compile_time_ms += (time.perf_counter() - start) * 1000.0
             if body is False:
                 stats.compile_fallbacks += 1
             else:

@@ -9,6 +9,7 @@ the compiled invocation-parsing routine of
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Any
 
 from repro.asttypes.types import AstType, list_of, prim
@@ -49,6 +50,19 @@ class MacroDefinition:
         #: :class:`repro.analysis.PurityReport` once analyzed, else
         #: ``None`` (= not yet analyzed; treated as uncacheable).
         self.purity = None
+        #: The shared preamble-image definition this one was copied
+        #: from (:meth:`instance`); compiled bodies are memoized there.
+        self.prototype: MacroDefinition | None = None
+
+    def instance(self) -> "MacroDefinition":
+        """A per-processor copy sharing the pattern, body, compiled
+        matcher and purity report with this prototype.  Its compiled
+        body starts unset, so the first use counts a compile in the
+        processor's stats (and takes the prototype's memoized body)."""
+        clone = copy.copy(self)
+        clone.prototype = self
+        clone.compiled_body = None
+        return clone
 
     def head_literals(self) -> tuple[str, ...]:
         """The literal tokens the pattern starts with (after the

@@ -89,9 +89,12 @@ class Expander:
         self, invocation: nodes.MacroInvocation
     ) -> Node | list[Node]:
         """Run one invocation; returns the replacement AST(s)."""
-        definition: MacroDefinition | None = invocation.definition
-        if definition is None:
-            definition = self.table.lookup(invocation.name)
+        # This processor's own definition first: an invocation inside a
+        # shared preamble-image template still points at the processor
+        # that parsed it.
+        definition: MacroDefinition | None = (
+            self.table.lookup(invocation.name) or invocation.definition
+        )
         if definition is None:
             raise ExpansionError(
                 f"invocation of unknown macro {invocation.name!r}",

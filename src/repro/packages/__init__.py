@@ -11,6 +11,8 @@ itself — not in Python) plus a ``register(mp)`` helper.
 >>> painting.register(mp, protected=True)
 """
 
+from typing import Iterable
+
 from repro.packages import (  # noqa: F401
     contracts,
     dispatch,
@@ -64,12 +66,25 @@ def register_named(mp: MacroProcessor, name: str) -> None:
     registrar(mp)
 
 
+def load_preamble(
+    mp: MacroProcessor,
+    package_names: Iterable[str] = (),
+    package_sources: Iterable[tuple[str, str]] = (),
+) -> MacroProcessor:
+    """Register the standard packages ``package_names``, then load the
+    ``(filename, source)`` package files, into ``mp``; returns ``mp``
+    (a fresh one copies a :class:`~repro.engine.PreambleImage`)."""
+    for name in package_names:
+        register_named(mp, name)
+    for filename, source in package_sources:
+        mp.load(source, str(filename))
+    return mp
+
+
 def load_standard(mp: MacroProcessor) -> None:
     """Load the exception, painting (protected), dynamic-binding,
     enum-IO, loop, and struct-IO packages into ``mp``."""
-    exceptions.register(mp)
-    painting.register(mp, protected=True)
-    dynbind.register(mp)
-    enumio.register(mp)
-    loops.register(mp)
-    structio.register(mp)
+    load_preamble(mp, [
+        "exceptions", "painting-protected", "dynbind", "enumio", "loops",
+        "structio",
+    ])

@@ -78,7 +78,7 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from repro import __version__, faults
-from repro.engine import MacroProcessor
+from repro.engine import MacroProcessor, options_fingerprint
 from repro.errors import Ms2Error
 from repro.diagnostics import Diagnostic
 from repro.options import Ms2Options
@@ -165,7 +165,7 @@ _TRANSIENT_ERROR_TYPES = frozenset(
 
 class WorkerPool:
     """Warm spare :class:`MacroProcessor` instances, keyed by
-    ``(options_hash, preamble signature)``.
+    ``(options fingerprint, preamble signature)``.
 
     A worker is built fresh (packages registered, package sources
     loaded) and *used once*: serving a request hands the caller an
@@ -198,11 +198,10 @@ class WorkerPool:
         package_names: Sequence[str],
         package_sources: Sequence[tuple[str, str]],
     ) -> str:
-        # Not options_hash(): that deliberately ignores trace/profile,
-        # but a worker built without a tracer cannot serve a traced
+        # A worker built without a tracer cannot serve a traced
         # request, so pool keys cover every serializable field.
         digest = hashlib.sha256(
-            json.dumps(options.to_json(), sort_keys=True).encode("utf-8")
+            options_fingerprint(options).encode("utf-8")
         )
         for name in package_names:
             digest.update(b"\x00name\x00" + name.encode("utf-8"))
@@ -217,18 +216,17 @@ class WorkerPool:
         package_names: Sequence[str],
         package_sources: Sequence[tuple[str, str]],
     ) -> MacroProcessor:
-        """A fresh processor with the preamble loaded (the slow part
-        a warm hit skips)."""
-        from repro.packages import register_named
+        """A fresh processor with the preamble loaded.  Only the first
+        build of a preamble in this process parses it; every later
+        build copies its :class:`~repro.engine.PreambleImage`, so a
+        spare costs an image copy."""
+        from repro.packages import load_preamble
 
         if faults.ACTIVE is not None:
             faults.ACTIVE.hit("pool.build_worker")
-        mp = MacroProcessor(options=options)
-        for name in package_names:
-            register_named(mp, name)
-        for filename, source in package_sources:
-            mp.load(source, filename)
-        return mp
+        return load_preamble(
+            MacroProcessor(options=options), package_names, package_sources
+        )
 
     def acquire(
         self,
