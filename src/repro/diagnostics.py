@@ -5,8 +5,8 @@ module is about *how many* the pipeline can report before giving up,
 and about bounding how much work a runaway meta-program may consume.
 
 :class:`DiagnosticSink` collects :class:`Diagnostic` records during a
-recovery-mode run (``MacroProcessor.expand_program(..., recover=True)``
-or ``repro expand --recover``).  Each diagnostic preserves the full
+recovery-mode run (a :class:`~repro.engine.MacroProcessor` built with
+``Ms2Options(recover=True)``, or ``repro expand --recover``).  Each diagnostic preserves the full
 provenance-aware rendering of the :class:`~repro.errors.Ms2Error` it
 was born from — including the "expanded from Macro at file:line:col"
 backtrace — so recovered runs lose no information relative to the

@@ -7,7 +7,8 @@ depth, the remote timeout, the fail-open switch), and scattering them
 as keyword arguments would repeat the sprawl
 :class:`~repro.options.Ms2Options` and
 :class:`~repro.serveconfig.ServeConfig` were built to end.
-:class:`CacheConfig` is their sibling for the cache layer:
+:class:`CacheConfig` is their sibling for the cache layer, on the same
+:class:`~repro.frozenconfig.FrozenConfig` base:
 
 - the **single source of defaults** — ``repro build``'s
   ``--cache-dir`` / ``--remote-cache`` argparse defaults and the
@@ -22,21 +23,19 @@ as keyword arguments would repeat the sprawl
   one place the local / remote / tiered composition is decided.
 
 The legacy ``BuildSession(cache_dir=..., use_disk_cache=...)``
-keyword arguments keep working through
-:meth:`CacheConfig.from_legacy_kwargs`, which emits one
-:class:`~repro.options.Ms2DeprecationWarning` per call — exactly the
-``ServeConfig`` shim pattern.
+keyword arguments were removed on the schedule in
+``docs/LANGUAGE.md`` §11 and now raise :class:`TypeError`; spell them
+``cache=CacheConfig(local_dir=...)`` and ``cache=None``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from repro.driver.diskcache import DEFAULT_CACHE_DIR
-from repro.options import warn_legacy
+from repro.frozenconfig import FrozenConfig
 
 __all__ = [
     "CACHE_FIELDS",
@@ -57,7 +56,7 @@ DEFAULT_WRITE_BEHIND = 64
 
 
 @dataclass(frozen=True, slots=True)
-class CacheConfig:
+class CacheConfig(FrozenConfig):
     """Every knob of the persistent snapshot cache, as a frozen value.
 
     Construct once, share freely: the object is immutable, comparable
@@ -65,6 +64,8 @@ class CacheConfig:
     ``CacheConfig()`` is today's behaviour exactly — a local
     ``.ms2-cache/`` directory, no remote.
     """
+
+    _label = "cache option"
 
     #: Local snapshot-directory root; None disables the local tier.
     local_dir: str | None = DEFAULT_CACHE_DIR
@@ -91,17 +92,13 @@ class CacheConfig:
         """Whether any cache tier is configured at all."""
         return self.local_dir is not None or self.remote is not None
 
-    def replace(self, **changes: Any) -> "CacheConfig":
-        """A copy with the given fields changed."""
-        return dataclasses.replace(self, **changes)
-
     def validate(self) -> "CacheConfig":
         """``self`` if the configuration is usable; raises
         :class:`ValueError` naming the first impossibility."""
         if self.write_behind < 0:
             raise ValueError("write_behind must be >= 0")
-        if self.remote_timeout_s <= 0:
-            raise ValueError("remote_timeout_s must be > 0")
+        if not 0 < self.remote_timeout_s < math.inf:
+            raise ValueError("remote_timeout_s must be finite and > 0")
         if self.remote is not None:
             from repro.client import parse_server_address
 
@@ -144,99 +141,6 @@ class CacheConfig:
             local, remote, write_behind=self.write_behind
         )
 
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> dict[str, Any]:
-        """Every field as JSON-able values; :meth:`from_json`
-        round-trips it exactly."""
-        return {name: getattr(self, name) for name in CACHE_FIELDS}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any] | None) -> "CacheConfig":
-        """Rebuild a config from a :meth:`to_json` payload.  Unknown
-        keys are ignored (payloads written by newer versions still
-        load); values of the wrong JSON type raise
-        :class:`ValueError`."""
-        if data is None:
-            return cls()
-        if not isinstance(data, dict):
-            raise ValueError("cache config payload must be a JSON object")
-        kwargs: dict[str, Any] = {}
-        for name in CACHE_FIELDS:
-            if name not in data:
-                continue
-            kwargs[name] = _check_field(name, data[name])
-        return cls(**kwargs)
-
-    # ------------------------------------------------------------------
-    # Legacy-kwargs shim
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_legacy_kwargs(cls, **legacy: Any) -> "CacheConfig":
-        """Fold the legacy ``BuildSession`` cache keyword arguments
-        into a config value, emitting one
-        :class:`~repro.options.Ms2DeprecationWarning` per call.
-
-        ``cache_dir=PATH`` maps to ``local_dir`` (``None`` disables
-        the local tier, as it always did); ``use_disk_cache=False``
-        disables caching outright.
-        """
-        unknown = set(legacy) - _LEGACY_FIELDS
-        if unknown:
-            raise TypeError(
-                f"unknown cache option(s): {sorted(unknown)}"
-            )
-        warn_legacy(
-            f"passing {', '.join(sorted(legacy))} as BuildSession "
-            "keyword argument(s)",
-            "CacheConfig",
-        )
-        kwargs: dict[str, Any] = {}
-        if "cache_dir" in legacy:
-            value = legacy.pop("cache_dir")
-            kwargs["local_dir"] = (
-                str(value) if value is not None else None
-            )
-        if not legacy.pop("use_disk_cache", True):
-            kwargs["local_dir"] = None
-            kwargs["remote"] = None
-        return cls(**kwargs)
-
 
 #: Every field name of :class:`CacheConfig`, declaration order.
-CACHE_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(CacheConfig)
-)
-
-#: The cache keyword arguments the legacy ``BuildSession`` took.
-_LEGACY_FIELDS = frozenset({"cache_dir", "use_disk_cache"})
-
-_DEFAULTS = None  # populated lazily below (needs the class finalized)
-
-
-def _check_field(name: str, value: Any) -> Any:
-    """Validate one wire value for :meth:`CacheConfig.from_json`."""
-    global _DEFAULTS
-    if _DEFAULTS is None:
-        _DEFAULTS = CacheConfig()
-    default = getattr(_DEFAULTS, name)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ValueError(f"cache option {name!r} must be a boolean")
-        return value
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"cache option {name!r} must be an integer")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"cache option {name!r} must be a number")
-        return float(value)
-    if value is None:
-        return None
-    if isinstance(value, (str, Path)):
-        return str(value)
-    raise ValueError(f"cache option {name!r} must be a string or null")
+CACHE_FIELDS: tuple[str, ...] = CacheConfig.field_names

@@ -186,10 +186,6 @@ class MacroTable:
             return None
         return root.accepts.get(position)
 
-    def dispatch_root(self, name: str) -> DispatchNode | None:
-        """The dispatch trie rooted at keyword ``name`` (diagnostics)."""
-        return self._dispatch.get(name)
-
     def names(self) -> list[str]:
         return sorted(self._macros)
 

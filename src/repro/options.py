@@ -1,11 +1,8 @@
 """The unified configuration surface of the MS2 pipeline.
 
-Historically every knob of the pipeline travelled as its own keyword
-argument — ``MacroProcessor(hygienic=..., cache=..., trace=...)`` plus
-per-call ``recover=`` / ``max_errors=`` / ``annotate=`` overrides on
-each ``expand_*`` method, with the CLI re-deriving its own defaults
-for all of them.  :class:`Ms2Options` replaces that sprawl with one
-frozen value object that is
+:class:`Ms2Options` carries every knob of the pipeline — expansion
+semantics, fast paths, fault tolerance, budgets and observability — as
+one frozen value object that is
 
 - the **single source of defaults** (the CLI's argparse defaults and
   the library's behaviour both come from ``Ms2Options()``),
@@ -13,23 +10,24 @@ frozen value object that is
   which is one third of the incremental-rebuild key used by the batch
   driver's persistent cache (source hash, macro hash, options hash),
 - **picklable** (minus run-time observability hooks), so the parallel
-  batch driver can ship one options value to every worker process.
+  batch driver can ship one options value to every worker process,
+- **checked on the wire**: :meth:`~repro.frozenconfig.FrozenConfig.from_json`
+  rejects a value of the wrong type, or a non-finite number, by field
+  name.
 
 :class:`ExpandResult` is the matching return object for
 :meth:`repro.engine.MacroProcessor.expand`: expanded output plus the
-diagnostics, pipeline stats and trace spans of the run, instead of the
-shape-shifting ``str | (str, diagnostics)`` returns of the legacy
-methods.
+diagnostics, pipeline stats and trace spans of the run.
 
-The legacy keyword arguments keep working through a thin shim that
-forwards into :class:`Ms2Options` and emits
-:class:`Ms2DeprecationWarning` (a :class:`DeprecationWarning`
-subclass, so warning filters can be scoped to exactly this shim).
+The pre-:class:`Ms2Options` keyword arguments of ``MacroProcessor``,
+the ``expand_*`` methods and ``expand_source`` were removed on the
+schedule in ``docs/LANGUAGE.md`` §11; they now raise
+:class:`TypeError`.  :class:`Ms2DeprecationWarning` remains for the
+``serve(...)`` keyword shim.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import warnings
@@ -37,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.diagnostics import DEFAULT_MAX_ERRORS, ExpansionBudget
+from repro.frozenconfig import FrozenConfig
 
 if TYPE_CHECKING:
     from repro.cast.decls import TranslationUnit
@@ -53,11 +52,12 @@ __all__ = [
 
 
 class Ms2DeprecationWarning(DeprecationWarning):
-    """Deprecation warnings emitted by the legacy-kwargs shim.
+    """Deprecation warnings emitted by a legacy-kwargs shim (today
+    only ``serve(...)``'s).
 
-    A dedicated subclass so projects (and this repo's own test suite)
-    can run with ``-W error::DeprecationWarning`` while scoping an
-    ``ignore`` filter to exactly the MS2 compatibility shim.
+    A dedicated subclass so projects can run with
+    ``-W error::DeprecationWarning`` while scoping an ``ignore``
+    filter to exactly the MS2 compatibility shim.
     """
 
 
@@ -71,13 +71,16 @@ def warn_legacy(old: str, new: str) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class Ms2Options:
+class Ms2Options(FrozenConfig):
     """Every knob of one macro-processing session, as a frozen value.
 
     Construct once, share freely: the object is immutable, comparable
     and (hooks aside) picklable.  Derive variants with
-    :meth:`replace`.
+    :meth:`replace`.  The wire form (:meth:`to_json`) omits the
+    runtime-only hook handles.
     """
+
+    _runtime_fields = frozenset({"trace_hooks", "trace_jsonl"})
 
     # -- expansion semantics -------------------------------------------
     #: Rename template-declared locals automatically (§5 extension).
@@ -122,10 +125,6 @@ class Ms2Options:
 
     # ------------------------------------------------------------------
 
-    def replace(self, **changes: Any) -> "Ms2Options":
-        """A copy with the given fields changed."""
-        return dataclasses.replace(self, **changes)
-
     def make_budget(self) -> ExpansionBudget | None:
         """A fresh :class:`ExpansionBudget` from the budget fields, or
         None when every limit is unset.  Fresh per call — budgets
@@ -145,41 +144,6 @@ class Ms2Options:
 
     def wants_tracer(self) -> bool:
         return bool(self.trace or self.trace_hooks or self.trace_jsonl)
-
-    # ------------------------------------------------------------------
-    # Wire format (the server protocol / persistent snapshots)
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> dict[str, Any]:
-        """The wire form: every field except the runtime-only hook
-        handles (``trace_hooks``/``trace_jsonl``), as JSON-able
-        values.  :meth:`from_json` round-trips it exactly."""
-        return {
-            name: getattr(self, name)
-            for name in OPTION_FIELDS
-            if name not in _RUNTIME_FIELDS
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any] | None) -> "Ms2Options":
-        """Rebuild an options value from a :meth:`to_json` payload.
-
-        Unknown keys are ignored (payloads written by newer pipelines
-        still load) and the runtime-only hook fields cannot cross the
-        wire.  Values of the wrong JSON type raise :class:`ValueError`
-        — the expansion server turns that into a ``bad_request``
-        response instead of corrupting a worker.
-        """
-        if data is None:
-            return cls()
-        if not isinstance(data, dict):
-            raise ValueError("options payload must be a JSON object")
-        kwargs: dict[str, Any] = {}
-        for name in OPTION_FIELDS:
-            if name in _RUNTIME_FIELDS or name not in data:
-                continue
-            kwargs[name] = _check_field(name, data[name])
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------
     # Hashing / serialization (the incremental-rebuild key)
@@ -211,48 +175,9 @@ class Ms2Options:
             return self
         return self.replace(trace_hooks=(), trace_jsonl=None)
 
-    # ------------------------------------------------------------------
-    # Legacy-kwargs shim
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        base: "Ms2Options | None" = None,
-        *,
-        budget: ExpansionBudget | None = None,
-        **legacy: Any,
-    ) -> "Ms2Options":
-        """Fold legacy ``MacroProcessor(...)`` keyword arguments into
-        an options value, emitting one :class:`Ms2DeprecationWarning`
-        per call.  ``budget=`` instances are flattened into the budget
-        fields."""
-        unknown = set(legacy) - set(OPTION_FIELDS)
-        if unknown:
-            raise TypeError(
-                f"unknown MacroProcessor option(s): {sorted(unknown)}"
-            )
-        names = sorted(legacy) + (["budget"] if budget is not None else [])
-        warn_legacy(
-            f"passing {', '.join(names)} as keyword argument(s)",
-            "Ms2Options",
-        )
-        if budget is not None:
-            legacy.setdefault("max_expansions", budget.max_expansions)
-            legacy.setdefault("max_output_nodes", budget.max_output_nodes)
-            legacy.setdefault("deadline_s", budget.deadline_s)
-        if "trace_hooks" in legacy and legacy["trace_hooks"] is not None:
-            legacy["trace_hooks"] = tuple(legacy["trace_hooks"])
-        elif legacy.get("trace_hooks", ()) is None:
-            legacy["trace_hooks"] = ()
-        base = base if base is not None else cls()
-        return base.replace(**legacy)
-
 
 #: Every field name of :class:`Ms2Options`, declaration order.
-OPTION_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(Ms2Options)
-)
+OPTION_FIELDS: tuple[str, ...] = Ms2Options.field_names
 
 #: Fields excluded from :meth:`Ms2Options.options_hash` — pure
 #: observability, or (``compiled_bodies``) a fast path whose output is
@@ -260,41 +185,6 @@ OPTION_FIELDS: tuple[str, ...] = tuple(
 _UNHASHED_FIELDS = frozenset(
     {"trace", "profile", "trace_hooks", "trace_jsonl", "compiled_bodies"}
 )
-
-#: Runtime-only handles: never serialized, never on the wire.
-_RUNTIME_FIELDS = frozenset({"trace_hooks", "trace_jsonl"})
-
-#: Fields whose wire value must be a JSON boolean.
-_BOOL_FIELDS = frozenset(
-    name
-    for name in OPTION_FIELDS
-    if isinstance(getattr(Ms2Options(), name), bool)
-)
-
-
-def _check_field(name: str, value: Any) -> Any:
-    """Validate one wire value for :meth:`Ms2Options.from_json`."""
-    if name in _BOOL_FIELDS:
-        if not isinstance(value, bool):
-            raise ValueError(f"option {name!r} must be a boolean")
-        return value
-    if name == "max_errors":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"option {name!r} must be an integer")
-        return value
-    if name in ("max_expansions", "max_output_nodes"):
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"option {name!r} must be an integer or null")
-        return value
-    if name == "deadline_s":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"option {name!r} must be a number or null")
-        return float(value)
-    return value
 
 
 @dataclass(slots=True)

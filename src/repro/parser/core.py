@@ -291,11 +291,6 @@ class Parser(ExpressionParserMixin):
         with prof.phase("type-check"):
             checker.check_body(body)
 
-    def macro_lookup(self, name: str):
-        if self.host is None:
-            return None
-        return self.host.lookup_macro(name)
-
     def macro_dispatch(self, name: str, position: str):
         """The macro invocable as ``name`` at ``position``, or None.
 

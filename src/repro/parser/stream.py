@@ -93,11 +93,6 @@ class TokenStream:
             return self.next()
         return None
 
-    def accept_keyword(self, name: str) -> Token | None:
-        if self.peek().is_keyword(name):
-            return self.next()
-        return None
-
     # ------------------------------------------------------------------
 
     def save(self) -> tuple[int, list[Token]]:

@@ -4,7 +4,7 @@ Historically every knob of ``repro serve`` travelled as its own
 keyword argument — ``serve(socket_path=..., max_inflight=..., ...)``
 with the CLI re-deriving its own argparse defaults for all of them.
 :class:`ServeConfig` replaces that sprawl with one frozen value object
-following the :class:`~repro.options.Ms2Options` pattern:
+on the shared :class:`~repro.frozenconfig.FrozenConfig` base:
 
 - the **single source of defaults** (the ``repro serve`` argparse
   defaults and the library's behaviour both come from
@@ -18,17 +18,16 @@ following the :class:`~repro.options.Ms2Options` pattern:
 
 The legacy ``serve(...)`` keyword arguments keep working through a
 thin shim (:meth:`ServeConfig.from_legacy_kwargs`) that emits
-:class:`~repro.options.Ms2DeprecationWarning`, exactly like the
-``MacroProcessor`` legacy-kwargs shim.
+:class:`~repro.options.Ms2DeprecationWarning`; it is pinned as public
+surface by the :mod:`repro.api` compatibility tests.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
+from repro.frozenconfig import FrozenConfig
 from repro.options import warn_legacy
 
 __all__ = [
@@ -58,15 +57,18 @@ DEFAULT_WARM_SPARES = 2
 
 
 @dataclass(frozen=True, slots=True)
-class ServeConfig:
+class ServeConfig(FrozenConfig):
     """Every knob of one ``repro serve`` daemon, as a frozen value.
 
     Construct once, share freely: the object is immutable, comparable
-    and JSON round-trippable.  Derive variants with :meth:`replace`.
+    and JSON round-trippable (the shard supervisor ships it to every
+    shard as :meth:`to_json`).  Derive variants with :meth:`replace`.
     :class:`~repro.options.Ms2Options` stays a *separate* value — it
     configures expansion semantics, this configures the serving
     process around them.
     """
+
+    _label = "serve option"
 
     # -- listen address -------------------------------------------------
     #: Unix domain socket path (exactly one of ``socket`` / ``port``).
@@ -127,10 +129,6 @@ class ServeConfig:
 
     # ------------------------------------------------------------------
 
-    def replace(self, **changes: Any) -> "ServeConfig":
-        """A copy with the given fields changed."""
-        return dataclasses.replace(self, **changes)
-
     def validate(self) -> "ServeConfig":
         """``self`` if the configuration is serveable; raises
         :class:`ValueError` naming the first impossibility."""
@@ -146,13 +144,24 @@ class ServeConfig:
                 "share one port via SO_REUSEPORT, which Unix sockets "
                 "cannot do"
             )
+        for name in ("port", "metrics_port"):
+            port = getattr(self, name)
+            if port is not None and not 0 <= port <= 65535:
+                raise ValueError(f"{name} must be in 0-65535")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.queue_limit < 0:
             raise ValueError("queue_limit must be >= 0")
         if self.max_frame_bytes < 1024:
             raise ValueError("max_frame_bytes must be >= 1024")
-        if self.drain_s < 0:
+        if self.warm_spares < 0:
+            raise ValueError("warm_spares must be >= 0")
+        if (
+            self.request_deadline_ms is not None
+            and not self.request_deadline_ms > 0
+        ):
+            raise ValueError("request_deadline_ms must be > 0")
+        if not self.drain_s >= 0:
             raise ValueError("drain_s must be >= 0")
         return self
 
@@ -163,40 +172,6 @@ class ServeConfig:
         if self.request_deadline_ms is None:
             return None
         return self.request_deadline_ms / 1000.0
-
-    # ------------------------------------------------------------------
-    # Wire format (the shard supervisor ships this to children)
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> dict[str, Any]:
-        """Every field as JSON-able values; :meth:`from_json`
-        round-trips it exactly."""
-        payload: dict[str, Any] = {}
-        for name in SERVE_FIELDS:
-            value = getattr(self, name)
-            if name == "package_sources":
-                value = [[filename, source] for filename, source in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            payload[name] = value
-        return payload
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any] | None) -> "ServeConfig":
-        """Rebuild a config from a :meth:`to_json` payload.  Unknown
-        keys are ignored (payloads written by newer versions still
-        load); values of the wrong JSON type raise
-        :class:`ValueError`."""
-        if data is None:
-            return cls()
-        if not isinstance(data, dict):
-            raise ValueError("serve config payload must be a JSON object")
-        kwargs: dict[str, Any] = {}
-        for name in SERVE_FIELDS:
-            if name not in data:
-                continue
-            kwargs[name] = _check_field(name, data[name])
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------
     # Legacy-kwargs shim
@@ -246,9 +221,7 @@ class ServeConfig:
 
 
 #: Every field name of :class:`ServeConfig`, declaration order.
-SERVE_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(ServeConfig)
-)
+SERVE_FIELDS: tuple[str, ...] = ServeConfig.field_names
 
 #: The keyword arguments the legacy ``serve(...)`` signature took.
 _LEGACY_FIELDS = frozenset(
@@ -270,68 +243,3 @@ _LEGACY_FIELDS = frozenset(
         "event_log",
     }
 )
-
-_DEFAULTS = None  # populated lazily below (needs the class finalized)
-
-
-def _check_field(name: str, value: Any) -> Any:
-    """Validate one wire value for :meth:`ServeConfig.from_json`."""
-    global _DEFAULTS
-    if _DEFAULTS is None:
-        _DEFAULTS = ServeConfig()
-    default = getattr(_DEFAULTS, name)
-    if name == "package_sources":
-        if not isinstance(value, list):
-            raise ValueError("package_sources must be a list of pairs")
-        pairs = []
-        for entry in value:
-            if not (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and all(isinstance(part, str) for part in entry)
-            ):
-                raise ValueError(
-                    "package_sources must be [filename, source] pairs"
-                )
-            pairs.append((entry[0], entry[1]))
-        return tuple(pairs)
-    if name in ("packages", "fault_specs"):
-        if not (
-            isinstance(value, list)
-            and all(isinstance(item, str) for item in value)
-        ):
-            raise ValueError(f"{name} must be a list of strings")
-        return tuple(value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ValueError(f"serve option {name!r} must be a boolean")
-        return value
-    if isinstance(default, int) and default is not None:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"serve option {name!r} must be an integer")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"serve option {name!r} must be a number")
-        return float(value)
-    if name in ("port", "shards", "metrics_port", "fault_seed"):
-        if value is None and name != "shards":
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"serve option {name!r} must be an integer or null"
-            )
-        return value
-    if name == "request_deadline_ms":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"serve option {name!r} must be a number or null"
-            )
-        return float(value)
-    if value is None:
-        return None
-    if isinstance(value, (str, Path)):
-        return str(value)
-    raise ValueError(f"serve option {name!r} must be a string or null")

@@ -81,6 +81,7 @@ from repro import __version__, faults
 from repro.engine import MacroProcessor, options_fingerprint
 from repro.errors import Ms2Error
 from repro.diagnostics import Diagnostic
+from repro.frozenconfig import checker
 from repro.options import Ms2Options
 from repro.serveconfig import (
     DEFAULT_DRAIN_S,
@@ -141,6 +142,14 @@ def _err(
 
 class _BadRequest(ValueError):
     """Raised by request validation; becomes a ``bad_request`` frame."""
+
+
+#: A request's preamble fields, checked like the matching
+#: :class:`ServeConfig` fields (a wrong type raises ValueError).
+_check_packages = checker("packages", tuple[str, ...])
+_check_package_sources = checker(
+    "package_sources", tuple[tuple[str, str], ...]
+)
 
 
 #: Worker error types that signal infrastructure trouble rather than
@@ -1556,23 +1565,10 @@ class Ms2Server:
         sources = request.get("package_sources")
         if names is None and sources is None:
             return self.package_names, self.package_sources
-        if names is not None and not (
-            isinstance(names, list)
-            and all(isinstance(n, str) for n in names)
-        ):
-            raise _BadRequest("packages must be a list of names")
-        pairs: list[tuple[str, str]] = []
-        for entry in sources or []:
-            if not (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and all(isinstance(part, str) for part in entry)
-            ):
-                raise _BadRequest(
-                    "package_sources must be [filename, source] pairs"
-                )
-            pairs.append((entry[0], entry[1]))
-        return tuple(names or ()), tuple(pairs)
+        return (
+            _check_packages(names) if names is not None else (),
+            _check_package_sources(sources) if sources is not None else (),
+        )
 
     def _run_work(
         self, op: str, rid: Any, request: dict[str, Any],

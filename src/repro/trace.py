@@ -150,7 +150,8 @@ class Tracer:
     hooks:
         Callables invoked as ``hook(event, span)`` on ``"start"``,
         ``"end"`` and ``"error"`` events — the subscription API used by
-        tests and external tools (``MacroProcessor(trace_hooks=[...])``).
+        tests and external tools
+        (``MacroProcessor(options=Ms2Options(trace_hooks=(...,)))``).
     jsonl:
         Optional writable text stream; every completed span is
         appended as one JSON line (an *event log*, in completion
@@ -260,12 +261,6 @@ class Tracer:
             span = stack.pop()
             yield span
             stack.extend(reversed(span.children))
-
-    def as_records(self) -> list[dict[str, Any]]:
-        """Every recorded span as a JSON-ready dict, pre-order — the
-        serialized form carried by batch-build reports and persistent
-        cache snapshots (parent ids preserve the tree shape)."""
-        return [span.as_dict() for span in self.walk_spans()]
 
     def render_tree(self, indent: str = "  ") -> str:
         """The nested span tree as text (the ``repro trace`` output)."""

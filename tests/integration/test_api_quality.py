@@ -51,6 +51,7 @@ PUBLIC_MODULES = [
     "repro.errors",
     "repro.faults",
     "repro.figures",
+    "repro.frozenconfig",
     "repro.lexer",
     "repro.lexer.scanner",
     "repro.lexer.tokens",

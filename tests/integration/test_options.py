@@ -5,9 +5,9 @@ Covers the three contracts the redesign introduced:
 - **CLI/API parity** — for *every* option field, the value the CLI
   derives from its defaults equals ``Ms2Options()``, and each flag
   maps onto exactly the field it names;
-- **legacy shim** — every old keyword spelling still works, warns
-  :class:`Ms2DeprecationWarning`, and behaves identically to the
-  options equivalent;
+- **no legacy spellings** — an unknown constructor keyword is a
+  :class:`TypeError`, and the options API emits no deprecation
+  warnings;
 - **hash stability** — ``options_hash`` ignores observability knobs
   and moves with every semantic knob (it keys the persistent cache).
 """
@@ -21,7 +21,7 @@ import pytest
 from repro import ExpandResult, MacroProcessor, Ms2Options, expand_source
 from repro.cli import build_arg_parser, options_from_args
 from repro.diagnostics import DEFAULT_MAX_ERRORS, ExpansionBudget
-from repro.options import OPTION_FIELDS, Ms2DeprecationWarning
+from repro.options import OPTION_FIELDS
 
 PROGRAM = """
 syntax stmt Twice {| $$stmt::body |}
@@ -159,55 +159,13 @@ def test_without_runtime_hooks_is_picklable() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The legacy-kwargs shim
+# No legacy spellings
 # ---------------------------------------------------------------------------
-
-
-def test_constructor_kwargs_warn_and_work() -> None:
-    with pytest.warns(Ms2DeprecationWarning, match="hygienic"):
-        mp = MacroProcessor(hygienic=True)
-    assert mp.options.hygienic is True
-
-
-def test_constructor_kwargs_match_options_behaviour() -> None:
-    with pytest.warns(Ms2DeprecationWarning):
-        legacy = MacroProcessor(cache=False).expand_to_c(PROGRAM)
-    modern = MacroProcessor(options=Ms2Options(cache=False)).expand_to_c(
-        PROGRAM
-    )
-    assert legacy == modern
 
 
 def test_unknown_constructor_kwarg_is_an_error() -> None:
     with pytest.raises(TypeError, match="hygenic"):
         MacroProcessor(hygenic=True)  # typo must not pass silently
-
-
-def test_per_call_recover_warns_and_works() -> None:
-    mp = MacroProcessor()
-    with pytest.warns(Ms2DeprecationWarning, match="per call"):
-        output, diagnostics = mp.expand_to_c(BROKEN, recover=True)
-    assert diagnostics
-    modern = MacroProcessor(options=Ms2Options(recover=True)).expand(
-        BROKEN
-    )
-    assert not modern.ok
-    assert output == modern.output
-
-
-def test_legacy_budget_instance_warns_and_is_observable() -> None:
-    budget = ExpansionBudget(max_expansions=50)
-    with pytest.warns(Ms2DeprecationWarning, match="budget"):
-        mp = MacroProcessor(budget=budget)
-    mp.expand_to_c(PROGRAM)
-    assert budget.expansions_used > 0  # caller's instance saw counters
-
-
-def test_expand_source_hygienic_kwarg_warns() -> None:
-    with pytest.warns(Ms2DeprecationWarning, match="hygienic"):
-        legacy = expand_source(PROGRAM, hygienic=True)
-    modern = expand_source(PROGRAM, options=Ms2Options(hygienic=True))
-    assert legacy == modern
 
 
 def test_clean_api_emits_no_warnings(recwarn) -> None:

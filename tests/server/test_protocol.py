@@ -128,6 +128,22 @@ def test_invalid_options_payload_is_bad_request(server):
     assert "max_errors" in response["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")]
+)
+def test_nonfinite_options_payload_is_bad_request(server, value):
+    """``json.loads`` accepts ``NaN`` and ``Infinity``; a NaN deadline
+    would never trip (every comparison with NaN is false), so the
+    options check must refuse them."""
+    with server.client() as client:
+        response = client.request(
+            {"op": "expand", "source": "int x;",
+             "options": {"deadline_s": value}}
+        )
+    assert response["error"]["code"] == "bad_request"
+    assert "deadline_s" in response["error"]["message"]
+
+
 def test_missing_source_is_bad_request(server):
     with server.client() as client:
         response = client.request({"op": "expand"})

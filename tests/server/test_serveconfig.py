@@ -69,6 +69,11 @@ def test_validate_rejects_sharded_unix_sockets() -> None:
         {"queue_limit": -1},
         {"max_frame_bytes": 10},
         {"drain_s": -1.0},
+        {"warm_spares": -1},
+        {"metrics_port": -1},
+        {"metrics_port": 65536},
+        {"request_deadline_ms": 0.0},
+        {"drain_s": float("nan")},
     ],
 )
 def test_validate_rejects_impossible_capacities(changes) -> None:
@@ -123,6 +128,8 @@ def test_from_json_none_is_defaults() -> None:
         {"prewarm": 1},
         {"drain_s": "fast"},
         {"socket": 7},
+        {"drain_s": float("nan")},
+        {"request_deadline_ms": float("inf")},
     ],
 )
 def test_from_json_rejects_wrong_types(payload) -> None:
