@@ -22,9 +22,13 @@ invocations (and potentially users), and loading a snapshot must
 never be able to execute code — a hostile ``.ms2c`` file can at worst
 read as corrupt.  Robustness mirrors the in-memory path exactly:
 
-- snapshots reuse the versioned ``MS2C`` + format-byte header from
-  :mod:`repro.macros.cache`; a version bump invalidates old entries
-  wholesale (they read as *stale* and are evicted);
+- snapshots carry the ``MS2C`` magic from :mod:`repro.macros.cache`
+  plus their own format byte, ``SNAPSHOT_FORMAT_VERSION``; it is
+  independent of the in-memory replay blobs' ``CACHE_FORMAT_VERSION``
+  (``MS2C\\x02``), so a change to the pickle layout leaves every
+  snapshot and file key valid.  Bumping ``SNAPSHOT_FORMAT_VERSION``
+  invalidates old entries wholesale (they read as *stale* and are
+  evicted, and every file key changes);
 - **corrupt or truncated** snapshots — JSON decode explosions, wrong
   payload shape, key mismatch — are evicted and counted, and the
   caller falls back to re-expansion; corruption can never surface as
@@ -51,7 +55,7 @@ from typing import Any
 from repro import faults
 from repro.driver.locks import FileLock, LockTimeout
 from repro.macros.cache import (
-    CACHE_FORMAT_VERSION,
+    SNAPSHOT_FORMAT_VERSION,
     frame_snapshot,
     unframe_snapshot,
 )
@@ -192,7 +196,7 @@ class PersistentCache:
         try:
             payload = dict(payload)
             payload["key"] = key
-            payload["format"] = CACHE_FORMAT_VERSION
+            payload["format"] = SNAPSHOT_FORMAT_VERSION
             try:
                 body = json.dumps(
                     payload, sort_keys=True, separators=(",", ":")

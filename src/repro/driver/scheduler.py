@@ -48,7 +48,7 @@ from repro.driver.cacheconfig import CacheConfig
 from repro.driver.report import BuildReport, FileResult
 from repro.engine import MacroProcessor
 from repro.errors import ExpansionBudgetError, Ms2Error
-from repro.macros.cache import CACHE_FORMAT_VERSION
+from repro.macros.cache import SNAPSHOT_FORMAT_VERSION
 from repro.options import Ms2Options
 
 __all__ = ["BuildSession", "resolve_inputs", "write_outputs"]
@@ -297,7 +297,7 @@ class BuildSession:
         change to what macros mean invalidates every file's key."""
         digest = hashlib.sha256()
         digest.update(__version__.encode("utf-8"))
-        digest.update(bytes([CACHE_FORMAT_VERSION]))
+        digest.update(bytes([SNAPSHOT_FORMAT_VERSION]))
         for name in self.package_names:
             digest.update(b"\x00name\x00" + name.encode("utf-8"))
         for filename, source in self.package_sources:

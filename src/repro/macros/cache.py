@@ -17,17 +17,26 @@ indistinguishable from a re-expansion to every downstream consumer
 
 Replay is the hot path, so entries are stored *pickled*: the byte
 blob is an immutable snapshot (later in-place passes on the spliced
-original cannot corrupt it) and ``pickle.loads`` rebuilds the whole
-tree in C, an order of magnitude faster than a field-by-field Python
-copy.  The replay-variant parts of a tree are externalized through
-pickle's persistent-ID machinery: every
-:class:`~repro.errors.SourceLocation` pickles as the persistent ID
-``"loc"``, and each distinct hygiene mark pickles as a ``("m", n)``
-ID (via a one-time snapshot walk at store time that wraps mark ints
-in :class:`_MarkToken`).  The unpickler resolves ``"loc"`` to the
-replaying invocation's location and each distinct mark ID to a fresh
-mark from the expander's counter — re-stamping the entire tree as a
-side effect of loading it.
+original cannot corrupt it) and a plain C ``pickle.loads`` rebuilds
+the whole tree, an order of magnitude faster than a field-by-field
+Python copy.  The replay-variant parts of a tree are externalized by
+the store pickler's ``dispatch_table``: every node class reduces to
+``(copyreg.__newobj__, (cls,), (None, slot_state))``, where the slot
+state's ``loc`` is one site sentinel and each distinct hygiene mark is
+one token for this store.  The sentinel (and any other
+:class:`~repro.errors.SourceLocation` or
+:class:`~repro.provenance.ExpandedLocation` in the tree) reduces to
+``_site()``, each token to ``_mark()``; both read a per-thread replay
+context holding the replaying invocation's location and the
+expander's mark counter.  Pickle memoizes the sentinel and each token,
+so a replay calls into Python once for the site and once per distinct
+mark, never per node, and re-stamps the entire tree as a side effect
+of loading it.
+
+Blobs start with ``MS2C`` plus ``CACHE_FORMAT_VERSION`` (``\\x02``).
+The batch driver's JSON disk snapshots share the magic but carry
+their own ``SNAPSHOT_FORMAT_VERSION`` (``\\x01``), so changing the
+pickle layout invalidates no snapshot file and no file key.
 
 Whether a macro is safe to cache at all is decided once, at
 definition time, by :func:`repro.analysis.analyze_macro_purity` —
@@ -39,14 +48,16 @@ accumulator) working bit-for-bit with the cache enabled.
 
 from __future__ import annotations
 
-import dataclasses
+import copyreg
 import io
 import pickle
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+import threading
+from typing import TYPE_CHECKING, Callable, Hashable
 
-from repro.cast.base import Node
+from repro.cast.base import Node, _init_field_names
 from repro.cast.struct_hash import Unhashable, structural_key
 from repro.errors import SourceLocation
+from repro.provenance import ExpandedLocation
 
 if TYPE_CHECKING:
     from repro.cast import nodes
@@ -57,27 +68,29 @@ __all__ = [
     "ExpansionCache",
     "replay_result",
     "CACHE_FORMAT_VERSION",
+    "SNAPSHOT_FORMAT_VERSION",
     "SNAPSHOT_HEADER",
     "frame_snapshot",
     "unframe_snapshot",
 ]
 
-#: The persistent ID standing for "the invocation site" in stored blobs.
-_LOC_PID = "loc"
-
-#: Snapshot wire-format version.  Bumped whenever the externalization
-#: scheme (persistent IDs, snapshot layout) changes; entries carrying
-#: any other version are treated as stale and re-expanded.
-CACHE_FORMAT_VERSION = 1
+#: In-memory blob format version.  Bumped whenever the externalization
+#: scheme (reducers, replay resolvers) changes; entries carrying any
+#: other version are treated as stale and re-expanded.
+CACHE_FORMAT_VERSION = 2
 
 #: Magic prefix identifying a well-formed snapshot blob.
 _MAGIC = b"MS2C"
 _HEADER = _MAGIC + bytes([CACHE_FORMAT_VERSION])
 
-#: The version-stamped snapshot header (``MS2C`` + format byte) —
-#: shared by the in-memory replay cache and the batch driver's
-#: on-disk snapshot files (:mod:`repro.driver.diskcache`).
-SNAPSHOT_HEADER = _HEADER
+#: Format version of the batch driver's on-disk JSON snapshots
+#: (:mod:`repro.driver.diskcache`).  Independent of the in-memory
+#: pickle layout: it stamps every snapshot file and enters every file
+#: key, so bumping it invalidates all local and remote snapshots.
+SNAPSHOT_FORMAT_VERSION = 1
+
+#: The version-stamped disk snapshot header (``MS2C`` + format byte).
+SNAPSHOT_HEADER = _MAGIC + bytes([SNAPSHOT_FORMAT_VERSION])
 
 
 def frame_snapshot(payload: bytes) -> bytes:
@@ -94,84 +107,70 @@ def unframe_snapshot(blob: bytes) -> bytes | None:
     return blob[len(SNAPSHOT_HEADER):]
 
 
+#: Per-thread store and replay state: the daemon replays on executor
+#: threads, each for its own processor.
+_context = threading.local()
+
+
+def _site() -> SourceLocation:
+    return _context.site
+
+
+def _mark() -> int:
+    return _context.fresh_mark()
+
+
 class _MarkToken:
-    """Stands for one distinct hygiene mark inside a stored snapshot."""
+    """Stands for one distinct hygiene mark inside a stored blob."""
 
-    __slots__ = ("pid",)
-
-    def __init__(self, index: int) -> None:
-        self.pid = ("m", index)
+    __slots__ = ()
 
 
-class _StorePickler(pickle.Pickler):
-    """Externalizes locations and mark tokens while storing a result."""
+#: The ``loc`` of every stored node: one object, so pickled once.
+_SITE = SourceLocation(filename="<replay site>")
 
-    def persistent_id(self, obj: Any) -> Any:
-        if isinstance(obj, SourceLocation):
-            return _LOC_PID
-        if isinstance(obj, _MarkToken):
-            return obj.pid
-        return None
-
-
-class _ReplayUnpickler(pickle.Unpickler):
-    """Rebuilds a stored expansion at a new invocation site."""
-
-    def __init__(
-        self,
-        blob: bytes,
-        loc: SourceLocation,
-        fresh_mark: Callable[[], int],
-    ) -> None:
-        super().__init__(io.BytesIO(blob))
-        self._loc = loc
-        self._fresh_mark = fresh_mark
-        self._marks: dict[Any, int] = {}
-
-    def persistent_load(self, pid: Any) -> Any:
-        if pid == _LOC_PID:
-            return self._loc
-        fresh = self._marks.get(pid)
-        if fresh is None:
-            fresh = self._marks[pid] = self._fresh_mark()
-        return fresh
+#: A slotted node's fields as ``(None, {name: value})``, built in C
+#: on Python 3.11+.
+_node_state = getattr(
+    object,
+    "__getstate__",
+    lambda node: (
+        None, {name: getattr(node, name) for name in _init_field_names(node)}
+    ),
+)
 
 
-#: Per-class snapshot plan: every field name except ``loc``/``mark``.
-_SNAP_PLANS: dict[type, tuple[str, ...]] = {}
+def _reduce_node(node: Node):
+    state = _node_state(node)[1]
+    state["loc"] = _SITE
+    mark = state["mark"]
+    if mark is not None:
+        tokens = _context.tokens
+        token = tokens.get(mark)
+        if token is None:
+            token = tokens[mark] = _MarkToken()
+        state["mark"] = token
+    return copyreg.__newobj__, (type(node),), (None, state)
 
 
-def _snapshot(value: Any, tokens: dict[int, _MarkToken]) -> Any:
-    """Copy an expansion result, wrapping each distinct mark in a
-    :class:`_MarkToken` so the pickler can externalize it.  Runs once
-    per stored entry (never on the replay path)."""
-    if isinstance(value, Node):
-        cls = value.__class__
-        plan = _SNAP_PLANS.get(cls)
-        if plan is None:
-            plan = _SNAP_PLANS[cls] = tuple(
-                f.name
-                for f in dataclasses.fields(cls)
-                if f.name not in ("loc", "mark")
-            )
-        new = cls.__new__(cls)
-        for name in plan:
-            field_value = getattr(value, name)
-            if isinstance(field_value, (Node, list)):
-                field_value = _snapshot(field_value, tokens)
-            setattr(new, name, field_value)
-        new.loc = value.loc
-        mark = value.mark
-        if mark is not None:
-            token = tokens.get(mark)
-            if token is None:
-                token = tokens[mark] = _MarkToken(len(tokens))
-            mark = token
-        new.mark = mark
-        return new
-    if isinstance(value, list):
-        return [_snapshot(item, tokens) for item in value]
-    return value
+class _Reducers(dict):
+    """The store pickler's ``dispatch_table``: both location classes,
+    the mark token, and every node class, registered on first use."""
+
+    def __missing__(self, cls: type):
+        if not issubclass(cls, Node):
+            raise KeyError(cls)
+        self[cls] = _reduce_node
+        return _reduce_node
+
+
+_REDUCERS = _Reducers(
+    {
+        SourceLocation: lambda loc: (_site, ()),
+        ExpandedLocation: lambda loc: (_site, ()),
+        _MarkToken: lambda token: (_mark, ()),
+    }
+)
 
 
 class ExpansionCache:
@@ -202,11 +201,12 @@ class ExpansionCache:
 
     def store(self, key: Hashable, result: Node | list[Node]) -> None:
         buffer = io.BytesIO()
-        buffer.write(SNAPSHOT_HEADER)
+        buffer.write(_HEADER)
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = _REDUCERS
+        _context.tokens = {}
         try:
-            _StorePickler(
-                buffer, protocol=pickle.HIGHEST_PROTOCOL
-            ).dump(_snapshot(result, {}))
+            pickler.dump(result)
         except (pickle.PicklingError, TypeError, AttributeError):
             # Result embeds something unpicklable (a closure, a live
             # definition reference): leave the invocation uncached.
@@ -228,10 +228,11 @@ class ExpansionCache:
         falls back to re-running the meta-program, so corruption of
         memo state can never surface as a raw unpickling exception.
         """
-        payload = unframe_snapshot(cached)
-        if payload is not None:
+        if cached[: len(_HEADER)] == _HEADER:
             try:
-                result = replay_result(payload, loc, fresh_mark)
+                result = replay_result(
+                    cached[len(_HEADER):], loc, fresh_mark
+                )
                 # Shape check: a corrupt blob can unpickle "cleanly"
                 # into something that is not an expansion result at
                 # all, which would blow up far away in the printer.
@@ -264,4 +265,9 @@ def replay_result(
     """A fresh instance of a cached expansion, located at ``loc``,
     with every distinct stored mark consistently replaced by a fresh
     one drawn from ``fresh_mark``."""
-    return _ReplayUnpickler(cached, loc, fresh_mark).load()
+    _context.site = loc
+    _context.fresh_mark = fresh_mark
+    try:
+        return pickle.loads(cached)
+    finally:
+        _context.site = _context.fresh_mark = None

@@ -14,12 +14,11 @@ from user code.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any
 
 from repro.asttypes.types import ListType
 from repro.cast import decls, nodes, stmts
-from repro.cast.base import Node
+from repro.cast.base import Node, _init_field_names
 from repro.diagnostics import ExpansionBudget
 from repro.errors import ExpansionError, Ms2Error
 from repro.macros.cache import ExpansionCache
@@ -131,10 +130,15 @@ class Expander:
             self.budget.charge_expansion(invocation.loc)
         cache_status = "off"
         key = None
+        prof = self.profiler
         if self.cache is not None:
             purity = definition.purity
             if purity is not None and purity.cacheable:
-                key = self.cache.key_for(definition, invocation)
+                if prof is None:
+                    key = self.cache.key_for(definition, invocation)
+                else:
+                    with prof.phase("cache-key"):
+                        key = self.cache.key_for(definition, invocation)
             if key is None:
                 cache_status = "uncacheable"
                 if self.stats is not None:
@@ -147,12 +151,16 @@ class Expander:
                     # reports the second site, not the first.  A
                     # corrupt or stale snapshot replays as None and
                     # falls through to re-expansion.
-                    replayed = self.cache.replay(
-                        key,
-                        cached,
-                        replay_location(invocation.loc, chain),
-                        self._fresh_mark,
-                    )
+                    site = replay_location(invocation.loc, chain)
+                    if prof is None:
+                        replayed = self.cache.replay(
+                            key, cached, site, self._fresh_mark
+                        )
+                    else:
+                        with prof.phase("cache-replay"):
+                            replayed = self.cache.replay(
+                                key, cached, site, self._fresh_mark
+                            )
                     if replayed is not None:
                         self.expansion_count += 1
                         if self.stats is not None:
@@ -205,7 +213,6 @@ class Expander:
 
             saved_mark = self.interpreter.current_mark
             self.interpreter.current_mark = mark
-            prof = self.profiler
             try:
                 if compiled is not None:
                     result = compiled.call(self.interpreter, bindings)
@@ -234,7 +241,11 @@ class Expander:
                     result, mark, self.interpreter, stats=self.stats
                 )
             if key is not None:
-                self.cache.store(key, result)
+                if prof is None:
+                    self.cache.store(key, result)
+                else:
+                    with prof.phase("cache-store"):
+                        self.cache.store(key, result)
             self.expansion_count += 1
             if self.stats is not None:
                 self.stats.expansions += 1
@@ -316,17 +327,15 @@ class Expander:
     def _expand_children(self, node: Node) -> Node:
         kwargs: dict[str, Any] = {}
         changed = False
-        for f in dataclasses.fields(node):
-            if not f.init:
-                continue
-            value = getattr(node, f.name)
+        for name in _init_field_names(node):
+            value = getattr(node, name)
             if isinstance(value, Node):
                 result = self.expand_tree(value)
                 if isinstance(result, list):
-                    result = self._wrap_list(node, f.name, result)
+                    result = self._wrap_list(node, name, result)
                 if result is not value:
                     changed = True
-                kwargs[f.name] = result
+                kwargs[name] = result
             elif isinstance(value, list):
                 out: list[Any] = []
                 for item in value:
@@ -341,9 +350,9 @@ class Expander:
                             out.append(result)
                     else:
                         out.append(item)
-                kwargs[f.name] = out
+                kwargs[name] = out
             else:
-                kwargs[f.name] = value
+                kwargs[name] = value
         if not changed:
             return node
         return type(node)(**kwargs)

@@ -15,7 +15,8 @@ event log.  ``repro trace <file>`` renders the span tree.
 
 **Phase profiler** (:class:`PhaseProfiler`) — monotonic timers around
 the pipeline's phases (``scan``, ``dispatch``, ``invocation-parse``,
-``type-check``, ``meta-eval``, ``template-fill``, ``print``),
+``type-check``, ``meta-eval``, ``template-fill``, ``cache-key``,
+``cache-replay``, ``cache-store``, ``print``),
 aggregated per session into :class:`~repro.stats.PipelineStats`.
 Phases *nest* (``meta-eval`` contains ``template-fill``;
 ``invocation-parse`` may contain whole nested expansions), so the
